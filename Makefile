@@ -1,12 +1,18 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test lint lint-diff check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
+.PHONY: build test loc lint lint-diff check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# Non-test Go line count: the code-size measure simplification changes
+# are judged by. Excludes _test.go files, testdata/ fixtures and the
+# separate benchmark module under opmperf/.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '/testdata/' -e '^opmperf/' | xargs cat | wc -l
 
 # Contract linter (cmd/opmlint): determinism, telemetry and resilience
 # rules as a hard gate. Suppress with //opmlint:allow <check> — <reason>.

@@ -57,7 +57,7 @@ func TestMachineConstruction(t *testing.T) {
 }
 
 func TestRunUnknownKernelRejected(t *testing.T) {
-	m := MustMachine(platform.Broadwell(), memsim.ModeDDR)
+	m := testMachine(t, platform.Broadwell(), memsim.ModeDDR)
 	if _, err := m.Run(fakeWorkload{}); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
@@ -72,12 +72,12 @@ func (fakeWorkload) Simulate(sim *memsim.Sim) { sim.Alloc("x", 64).Load(0, 8) }
 
 func TestStreamEDRAMEffectiveRegion(t *testing.T) {
 	brd := platform.Broadwell()
-	ddr := MustMachine(brd, memsim.ModeDDR)
-	ed := MustMachine(brd, memsim.ModeEDRAM)
+	ddr := testMachine(t, brd, memsim.ModeDDR)
+	ed := testMachine(t, brd, memsim.ModeEDRAM)
 	// Paper-scale 64MB triad: inside the eDRAM effective region.
 	w := trace.NewStream(brd.ScaledBytes(64 << 20))
-	rd := ddr.MustRun(w)
-	re := ed.MustRun(w)
+	rd := testRun(t, ddr, w)
+	re := testRun(t, ed, w)
 	sp := re.GFlops / rd.GFlops
 	if sp < 1.5 || sp > 3.5 {
 		t.Fatalf("eDRAM region speedup = %v, want ~2.4", sp)
@@ -92,12 +92,12 @@ func TestStreamEDRAMNeverHurts(t *testing.T) {
 	// Table 4's note: "we have not observed worse performance using
 	// eDRAM than without eDRAM."
 	brd := platform.Broadwell()
-	ddr := MustMachine(brd, memsim.ModeDDR)
-	ed := MustMachine(brd, memsim.ModeEDRAM)
+	ddr := testMachine(t, brd, memsim.ModeDDR)
+	ed := testMachine(t, brd, memsim.ModeEDRAM)
 	for _, mb := range []int64{2, 4, 8, 16, 64, 128, 160, 256, 1024} {
 		w := trace.NewStream(brd.ScaledBytes(mb << 20))
-		rd := ddr.MustRun(w)
-		re := ed.MustRun(w)
+		rd := testRun(t, ddr, w)
+		re := testRun(t, ed, w)
 		if re.GFlops < rd.GFlops*0.98 {
 			t.Fatalf("eDRAM hurts at %dMB: %v vs %v", mb, re.GFlops, rd.GFlops)
 		}
@@ -109,7 +109,7 @@ func TestKNLStreamModeOrdering(t *testing.T) {
 	w := trace.NewStream(knl.ScaledBytes(2 << 30)) // 2GB: flat resident
 	res := map[memsim.Mode]memsim.Result{}
 	for _, mode := range knl.Modes {
-		res[mode] = MustMachine(knl, mode).MustRun(w)
+		res[mode] = testRun(t, testMachine(t, knl, mode), w)
 	}
 	// Flat >= cache (tag overhead), both >> DDR (Table 5 Stream row).
 	if res[memsim.ModeFlat].GFlops < res[memsim.ModeCache].GFlops {
@@ -125,8 +125,8 @@ func TestKNLFlatSplitCollapse(t *testing.T) {
 	// Beyond 16GB, flat mode collapses below pure DDR (Figures 15/23).
 	knl := platform.KNL()
 	w := trace.NewStream(knl.ScaledBytes(24 << 30))
-	flat := MustMachine(knl, memsim.ModeFlat).MustRun(w)
-	ddr := MustMachine(knl, memsim.ModeDDR).MustRun(w)
+	flat := testRun(t, testMachine(t, knl, memsim.ModeFlat), w)
+	ddr := testRun(t, testMachine(t, knl, memsim.ModeDDR), w)
 	if flat.GFlops >= ddr.GFlops {
 		t.Fatalf("split flat should collapse below DDR: %v vs %v", flat.GFlops, ddr.GFlops)
 	}
@@ -134,7 +134,7 @@ func TestKNLFlatSplitCollapse(t *testing.T) {
 		t.Fatalf("bound = %s, want split", flat.Bound)
 	}
 	// Hybrid at the same footprint stays healthy.
-	hy := MustMachine(knl, memsim.ModeHybrid).MustRun(w)
+	hy := testRun(t, testMachine(t, knl, memsim.ModeHybrid), w)
 	if hy.GFlops <= ddr.GFlops {
 		t.Fatalf("hybrid should beat DDR at 24GB: %v vs %v", hy.GFlops, ddr.GFlops)
 	}
@@ -150,8 +150,8 @@ func TestSpTRSVLatencyAnomalyOnKNL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := MustMachine(knl, memsim.ModeFlat).MustRun(w)
-	ddr := MustMachine(knl, memsim.ModeDDR).MustRun(w)
+	flat := testRun(t, testMachine(t, knl, memsim.ModeFlat), w)
+	ddr := testRun(t, testMachine(t, knl, memsim.ModeDDR), w)
 	if flat.GFlops > ddr.GFlops*1.3 {
 		t.Fatalf("SpTRSV should not gain much from MCDRAM: flat %v vs ddr %v", flat.GFlops, ddr.GFlops)
 	}
@@ -161,7 +161,7 @@ func TestSpTRSVThrottledByLevels(t *testing.T) {
 	// A chain matrix (parallelism 1) must be far slower than a wide
 	// one of similar size.
 	brd := platform.Broadwell()
-	m := MustMachine(brd, memsim.ModeDDR)
+	m := testMachine(t, brd, memsim.ModeDDR)
 	chain, err := trace.NewSpTRSV(sparse.Tridiag(300000))
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestSpTRSVThrottledByLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := m.MustRun(chain)
-	rw := m.MustRun(wide)
+	rc := testRun(t, m, chain)
+	rw := testRun(t, m, wide)
 	// The chain is pinned to MLP 1; the wide schedule keeps the full
 	// thread complement (8 × 0.6). Despite the wide schedule's strided
 	// level-order traversal costing extra traffic, it must still win.
@@ -191,10 +191,10 @@ func TestRunDenseGEMMPeaksNearPaper(t *testing.T) {
 	// by ≲ 5%.
 	brd := platform.Broadwell()
 	best := func(mode memsim.Mode) float64 {
-		m := MustMachine(brd, mode)
+		m := testMachine(t, brd, mode)
 		peak := 0.0
 		for _, nb := range []int{256, 512, 1024, 2048, 4096} {
-			r := m.MustRunDense(trace.DenseGEMM, 16128, nb)
+			r := testRunDense(t, m, trace.DenseGEMM, 16128, nb)
 			if r.GFlops > peak {
 				peak = r.GFlops
 			}
@@ -217,12 +217,12 @@ func TestRunDenseEDRAMExpandsNearPeakRegion(t *testing.T) {
 	// 90% of peak.
 	brd := platform.Broadwell()
 	count90 := func(mode memsim.Mode) int {
-		m := MustMachine(brd, mode)
+		m := testMachine(t, brd, mode)
 		peak := 0.0
 		var vals []float64
 		for _, n := range []int{2048, 4096, 8192, 16128} {
 			for _, nb := range []int{128, 512, 1024, 2048, 4096} {
-				r := m.MustRunDense(trace.DenseGEMM, n, nb)
+				r := testRunDense(t, m, trace.DenseGEMM, n, nb)
 				vals = append(vals, r.GFlops)
 				if r.GFlops > peak {
 					peak = r.GFlops
@@ -244,9 +244,9 @@ func TestRunDenseEDRAMExpandsNearPeakRegion(t *testing.T) {
 
 func TestRunDenseKNLFlatCollapse(t *testing.T) {
 	knl := platform.KNL()
-	flat := MustMachine(knl, memsim.ModeFlat)
-	ok := flat.MustRunDense(trace.DenseGEMM, 16384, 1024)  // 8GB fits
-	bad := flat.MustRunDense(trace.DenseGEMM, 30000, 1024) // 28.8GB splits
+	flat := testMachine(t, knl, memsim.ModeFlat)
+	ok := testRunDense(t, flat, trace.DenseGEMM, 16384, 1024)  // 8GB fits
+	bad := testRunDense(t, flat, trace.DenseGEMM, 30000, 1024) // 28.8GB splits
 	if bad.GFlops > ok.GFlops/2 {
 		t.Fatalf("flat should collapse past MCDRAM capacity: %v vs %v", bad.GFlops, ok.GFlops)
 	}
@@ -254,7 +254,7 @@ func TestRunDenseKNLFlatCollapse(t *testing.T) {
 		t.Fatalf("bound = %s", bad.Bound)
 	}
 	// Hybrid survives the same size (Section 4.2.1 III).
-	hy := MustMachine(knl, memsim.ModeHybrid).MustRunDense(trace.DenseGEMM, 30000, 1024)
+	hy := testRunDense(t, testMachine(t, knl, memsim.ModeHybrid), trace.DenseGEMM, 30000, 1024)
 	if hy.GFlops < ok.GFlops/2 {
 		t.Fatalf("hybrid should stay healthy: %v", hy.GFlops)
 	}
@@ -265,19 +265,19 @@ func TestRunDenseCholeskyEDRAMRecovery(t *testing.T) {
 	// eDRAM recovers it toward the compute ceiling while the peak
 	// moves only a few percent (Table 4: 184.3 -> 192.6).
 	brd := platform.Broadwell()
-	ddr := MustMachine(brd, memsim.ModeDDR).MustRunDense(trace.DenseCholesky, 16128, 4096)
-	ed := MustMachine(brd, memsim.ModeEDRAM).MustRunDense(trace.DenseCholesky, 16128, 4096)
+	ddr := testRunDense(t, testMachine(t, brd, memsim.ModeDDR), trace.DenseCholesky, 16128, 4096)
+	ed := testRunDense(t, testMachine(t, brd, memsim.ModeEDRAM), trace.DenseCholesky, 16128, 4096)
 	if ed.GFlops < ddr.GFlops*1.1 {
 		t.Fatalf("eDRAM should recover oversized-tile Cholesky: %v vs %v", ed.GFlops, ddr.GFlops)
 	}
-	dBest := MustMachine(brd, memsim.ModeDDR).MustRunDense(trace.DenseCholesky, 16128, 512)
+	dBest := testRunDense(t, testMachine(t, brd, memsim.ModeDDR), trace.DenseCholesky, 16128, 512)
 	if dBest.GFlops < 160 || dBest.GFlops > 230 {
 		t.Fatalf("Broadwell Cholesky best = %v, want ~190", dBest.GFlops)
 	}
 }
 
 func TestRunDenseErrors(t *testing.T) {
-	m := MustMachine(platform.Broadwell(), memsim.ModeDDR)
+	m := testMachine(t, platform.Broadwell(), memsim.ModeDDR)
 	if _, err := m.RunDense(trace.DenseGEMM, 0, 64); err == nil {
 		t.Fatal("zero order accepted")
 	}
@@ -325,8 +325,8 @@ func TestRunOnPooledSimMatchesRun(t *testing.T) {
 // configuration is refused instead of silently producing wrong traffic.
 func TestRunOnRejectsMismatchedSim(t *testing.T) {
 	brd := platform.Broadwell()
-	ddr := MustMachine(brd, memsim.ModeDDR)
-	ed := MustMachine(brd, memsim.ModeEDRAM)
+	ddr := testMachine(t, brd, memsim.ModeDDR)
+	ed := testMachine(t, brd, memsim.ModeEDRAM)
 	sim, err := memsim.NewSim(ddr.Config())
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,22 @@ func TestRunOnRejectsMismatchedSim(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSequential proves the parallel batch produces the
+// cellJob is one trace-simulation cell: a workload on a machine.
+type cellJob struct {
+	m  *Machine
+	wl trace.Workload
+}
+
+// runCells evaluates cells on the sweep engine through the exact
+// estimator — the per-job body the harness sweeps run — returning the
+// results in submission order.
+func runCells(eng *sweep.Engine, jobs []cellJob) ([]memsim.Result, error) {
+	return sweep.Map(context.Background(), eng, jobs, func(ctx context.Context, w *sweep.Worker, j cellJob) (memsim.Result, error) {
+		return Exact.EstimateCell(ctx, eng, w, j.m, j.wl, CellKey(j.m, j.wl.Name(), j.wl.Flops()))
+	})
+}
+
+// TestRunBatchMatchesSequential proves a parallel sweep produces the
 // sequential path's results in submission order, and that a failing
 // job is isolated without poisoning its worker's pooled simulator.
 func TestRunBatchMatchesSequential(t *testing.T) {
@@ -348,22 +363,22 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs []Job
+	var jobs []cellJob
 	for _, m := range machines {
 		for _, mb := range []int64{8, 32, 96} {
-			jobs = append(jobs, Job{Machine: m, Workload: trace.NewStream(brd.ScaledBytes(mb << 20))})
+			jobs = append(jobs, cellJob{m: m, wl: trace.NewStream(brd.ScaledBytes(mb << 20))})
 		}
 	}
 	want := make([]memsim.Result, len(jobs))
 	for i, j := range jobs {
-		r, err := j.Machine.Run(j.Workload)
+		r, err := j.m.Run(j.wl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := RunBatch(context.Background(), &sweep.Engine{Workers: workers}, jobs)
+		got, err := runCells(&sweep.Engine{Workers: workers}, jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -381,14 +396,14 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 // surface as a sweep.JobError at its submission index.
 func TestRunBatchIsolatesFailures(t *testing.T) {
 	brd := platform.Broadwell()
-	m := MustMachine(brd, memsim.ModeEDRAM)
+	m := testMachine(t, brd, memsim.ModeEDRAM)
 	good := trace.NewStream(brd.ScaledBytes(64 << 20))
-	jobs := []Job{
-		{Machine: m, Workload: good},
-		{Machine: m, Workload: fakeWorkload{}}, // unknown kernel: props error after simulating
-		{Machine: m, Workload: good},
+	jobs := []cellJob{
+		{m: m, wl: good},
+		{m: m, wl: fakeWorkload{}}, // unknown kernel: props error after simulating
+		{m: m, wl: good},
 	}
-	got, err := RunBatch(context.Background(), &sweep.Engine{Workers: 1}, jobs)
+	got, err := runCells(&sweep.Engine{Workers: 1}, jobs)
 	var errs sweep.Errors
 	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != 1 {
 		t.Fatalf("want one JobError at index 1, got %v", err)
@@ -405,8 +420,8 @@ func TestRunBatchIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestRunDenseBatchMatchesSequential checks the analytic dense batch
-// against direct RunDense calls.
+// TestRunDenseBatchMatchesSequential checks RunDenseBatchWith against
+// direct RunDense calls.
 func TestRunDenseBatchMatchesSequential(t *testing.T) {
 	knl := platform.KNL()
 	machines, err := Machines(knl)
@@ -419,7 +434,7 @@ func TestRunDenseBatchMatchesSequential(t *testing.T) {
 			jobs = append(jobs, DenseJob{Machine: m, Kind: trace.DenseGEMM, N: 8192, NB: nb})
 		}
 	}
-	got, err := RunDenseBatch(context.Background(), &sweep.Engine{Workers: 3}, jobs)
+	got, err := RunDenseBatchWith(context.Background(), &sweep.Engine{Workers: 3}, jobs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,4 +447,34 @@ func TestRunDenseBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("job %d: %+v != %+v", i, got[i], want)
 		}
 	}
+}
+
+// testMachine is NewMachine, failing the test on error.
+func testMachine(t testing.TB, p *platform.Platform, mode memsim.Mode) *Machine {
+	t.Helper()
+	m, err := NewMachine(p, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// testRun is m.Run, failing the test on error.
+func testRun(t testing.TB, m *Machine, w trace.Workload) memsim.Result {
+	t.Helper()
+	r, err := m.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// testRunDense is m.RunDense, failing the test on error.
+func testRunDense(t testing.TB, m *Machine, kind trace.DenseKind, n, nb int) memsim.Result {
+	t.Helper()
+	r, err := m.RunDense(kind, n, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -92,21 +92,12 @@ func DenseCellKey(j DenseJob) string {
 	return fmt.Sprintf("%s|n=%d|nb=%d|%s", j.Kind, j.N, j.NB, j.Machine.Label())
 }
 
-// RunBatchWith is RunBatchCached with an explicit estimator: every
-// cell is evaluated by est instead of the exact simulation. A nil
-// estimator means Exact, reproducing RunBatchCached exactly.
-func RunBatchWith(ctx context.Context, eng *sweep.Engine, jobs []Job, cache sweep.Cache[Job, memsim.Result], est Estimator) ([]memsim.Result, error) {
-	if est == nil {
-		est = Exact
-	}
-	return sweep.MapCached(ctx, eng, jobs, cache, func(ctx context.Context, w *sweep.Worker, j Job) (memsim.Result, error) {
-		key := CellKey(j.Machine, j.Workload.Name(), j.Workload.Flops())
-		return est.EstimateCell(ctx, eng, w, j.Machine, j.Workload, key)
-	})
-}
-
-// RunDenseBatchWith is RunDenseBatchCached with an explicit estimator;
-// a nil estimator means Exact.
+// RunDenseBatchWith executes analytic dense-model jobs on the sweep
+// engine through est (nil means Exact) and returns their results in
+// submission order. Jobs whose digest is cached bypass the model, and
+// every computed job is committed as it completes (see
+// sweep.MapCached); a nil cache computes every job. Results pass
+// through the analytic half of the result gate before committing.
 func RunDenseBatchWith(ctx context.Context, eng *sweep.Engine, jobs []DenseJob, cache sweep.Cache[DenseJob, memsim.Result], est Estimator) ([]memsim.Result, error) {
 	if est == nil {
 		est = Exact

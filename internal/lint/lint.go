@@ -15,8 +15,6 @@
 //	rangesort     no map iteration whose order can reach output: a
 //	              returned slice, an io.Writer, or an inline map
 //	              literal consumed in range order
-//	mustpath      deprecated panicking Must* helpers are callable only
-//	              from cmd/ and _test.go files
 //	counternames  obs counter/gauge/histogram names are compile-time
 //	              constants matching [a-z0-9_/]+
 //	errdiscard    no discarded errors in the store, faultinject and
@@ -109,7 +107,6 @@ func AllChecks() []*Check {
 	return []*Check{
 		determinismCheck,
 		rangesortCheck,
-		mustpathCheck,
 		counternamesCheck,
 		errdiscardCheck,
 		ctxflowCheck,

@@ -11,7 +11,6 @@ import (
 var fixturePkgs = map[string]string{
 	"determinism":  "internal/lint/testdata/determinism/determinism",
 	"rangesort":    "internal/lint/testdata/rangesort/rangesort",
-	"mustpath":     "internal/lint/testdata/mustpath/mustpath",
 	"counternames": "internal/lint/testdata/counternames/counternames",
 	"errdiscard":   "internal/lint/testdata/errdiscard/store",
 	"ctxflow":      "internal/lint/testdata/ctxflow/ctxflow",

@@ -20,7 +20,7 @@ func TestLevelStatsPerMode(t *testing.T) {
 		ModeHybrid:       {"l1", "l2", "mcdram_cache"},
 	}
 	for mode, levels := range want {
-		s := MustNewSim(testConfig(mode))
+		s := testSim(t, testConfig(mode))
 		got := s.LevelStats()
 		if len(got) != len(levels) {
 			t.Fatalf("%s: %d levels, want %v", mode, len(got), levels)
@@ -44,7 +44,7 @@ func TestRecordMetricsAccumulates(t *testing.T) {
 		b.StoreLines(0, b.Size())
 	}
 	reg := obs.NewRegistry()
-	s := MustNewSim(cfg)
+	s := testSim(t, cfg)
 	run(s)
 	s.RecordMetrics(reg)
 	first := reg.Snapshot().Counters

@@ -33,7 +33,7 @@ func exercise(s *Sim) Traffic {
 func TestResetReproducesFreshSim(t *testing.T) {
 	for _, mode := range []Mode{ModeDDR, ModeEDRAM, ModeEDRAMMemSide, ModeCache, ModeFlat, ModeHybrid} {
 		cfg := testConfig(mode)
-		pooled := MustNewSim(cfg)
+		pooled := testSim(t, cfg)
 		first := exercise(pooled)
 
 		// A second run on the same sim without Reset must differ in
@@ -44,7 +44,7 @@ func TestResetReproducesFreshSim(t *testing.T) {
 			t.Fatalf("%s: Reset left traffic %+v", mode, tr)
 		}
 		again := exercise(pooled)
-		fresh := exercise(MustNewSim(cfg))
+		fresh := exercise(testSim(t, cfg))
 		if again != fresh {
 			t.Errorf("%s: reset sim diverged from fresh sim:\nreset: %+v\nfresh: %+v", mode, again, fresh)
 		}
@@ -57,7 +57,7 @@ func TestResetReproducesFreshSim(t *testing.T) {
 // TestResetRewindsAllocator checks flat-mode placement starts over
 // after Reset (first allocation back in MCDRAM, no stale split flag).
 func TestResetRewindsAllocator(t *testing.T) {
-	s := MustNewSim(testConfig(ModeFlat)) // 64KB flat MCDRAM
+	s := testSim(t, testConfig(ModeFlat)) // 64KB flat MCDRAM
 	s.Alloc("big", 60<<10)
 	s.Alloc("spill", 16<<10) // forces DDR spill + split flag
 	if !s.Traffic().SplitFlat {

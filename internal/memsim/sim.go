@@ -150,16 +150,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// MustNewSim is NewSim that panics on error (for tests and internal
-// construction from vetted platform definitions).
-func MustNewSim(cfg Config) *Sim {
-	s, err := NewSim(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the simulator's configuration.
 func (s *Sim) Config() Config { return s.cfg }
 

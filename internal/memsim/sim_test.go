@@ -114,7 +114,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestAllocPrefersMCDRAMThenSpills(t *testing.T) {
-	s := MustNewSim(testConfig(ModeFlat)) // 64KB flat MCDRAM
+	s := testSim(t, testConfig(ModeFlat)) // 64KB flat MCDRAM
 	a := s.Alloc("a", 32<<10)
 	if !a.InMCDRAM() {
 		t.Fatal("first allocation should land in MCDRAM")
@@ -136,7 +136,7 @@ func TestAllocPrefersMCDRAMThenSpills(t *testing.T) {
 }
 
 func TestAllocDDRModeNeverSplits(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	s.Alloc("a", 1<<20)
 	s.Alloc("b", 1<<20)
 	if s.Traffic().SplitFlat {
@@ -150,11 +150,11 @@ func TestAllocPanicsOnBadSize(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNewSim(testConfig(ModeDDR)).Alloc("x", 0)
+	testSim(t, testConfig(ModeDDR)).Alloc("x", 0)
 }
 
 func TestHybridSplitsCapacity(t *testing.T) {
-	s := MustNewSim(testConfig(ModeHybrid)) // 64KB: 32 flat + 32 cache
+	s := testSim(t, testConfig(ModeHybrid)) // 64KB: 32 flat + 32 cache
 	a := s.Alloc("a", 32<<10)
 	if !a.InMCDRAM() {
 		t.Fatal("hybrid flat half should host the allocation")
@@ -166,7 +166,7 @@ func TestHybridSplitsCapacity(t *testing.T) {
 }
 
 func TestStreamingMissesGoToDDR(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 1<<20) // far larger than 16KB L3
 	buf.LoadLines(0, 1<<20)
 	tr := s.Traffic()
@@ -180,7 +180,7 @@ func TestStreamingMissesGoToDDR(t *testing.T) {
 }
 
 func TestFittingWorkingSetServedOnChip(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 2<<10) // fits 4KB L2
 	for pass := 0; pass < 4; pass++ {
 		buf.LoadLines(0, 2<<10)
@@ -197,7 +197,7 @@ func TestFittingWorkingSetServedOnChip(t *testing.T) {
 
 func TestEDRAMCapturesL3Victims(t *testing.T) {
 	cfg := testConfig(ModeEDRAM)
-	s := MustNewSim(cfg)
+	s := testSim(t, cfg)
 	// Working set: 32KB — exceeds 16KB L3, fits 64KB eDRAM.
 	buf := s.Alloc("x", 32<<10)
 	buf.LoadLines(0, 32<<10) // cold: all from DDR
@@ -220,7 +220,7 @@ func TestEDRAMCapturesL3Victims(t *testing.T) {
 }
 
 func TestEDRAMOffGoesToDDR(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 32<<10)
 	for pass := 0; pass < 4; pass++ {
 		buf.LoadLines(0, 32<<10)
@@ -235,7 +235,7 @@ func TestEDRAMOffGoesToDDR(t *testing.T) {
 }
 
 func TestMCDRAMCacheModeServesRepeats(t *testing.T) {
-	s := MustNewSim(testConfig(ModeCache))
+	s := testSim(t, testConfig(ModeCache))
 	// 32KB working set: exceeds 4KB L2, fits 64KB MCDRAM cache.
 	buf := s.Alloc("x", 32<<10)
 	buf.LoadLines(0, 32<<10)
@@ -253,7 +253,7 @@ func TestMCDRAMCacheModeServesRepeats(t *testing.T) {
 }
 
 func TestMCDRAMFlatResidentTraffic(t *testing.T) {
-	s := MustNewSim(testConfig(ModeFlat))
+	s := testSim(t, testConfig(ModeFlat))
 	buf := s.Alloc("x", 32<<10) // resident in 64KB flat MCDRAM
 	for pass := 0; pass < 2; pass++ {
 		buf.LoadLines(0, 32<<10)
@@ -271,7 +271,7 @@ func TestMCDRAMFlatResidentTraffic(t *testing.T) {
 }
 
 func TestWritebackAccounting(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 256<<10)
 	buf.StoreLines(0, 256<<10)
 	// Stream a second buffer to force the dirty lines out.
@@ -287,7 +287,7 @@ func TestWritebackAccounting(t *testing.T) {
 }
 
 func TestTouchCoalescesWithinLine(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 1<<10)
 	for i := int64(0); i < 64; i += 8 {
 		buf.Load(i, 8) // 8 scalar loads within one line
@@ -303,7 +303,7 @@ func TestTouchCoalescesWithinLine(t *testing.T) {
 }
 
 func TestTouchSpanningLines(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 1<<10)
 	buf.Load(60, 8) // straddles two lines
 	if got := s.Traffic().Lines[SrcDDR]; got != 2 {
@@ -312,7 +312,7 @@ func TestTouchSpanningLines(t *testing.T) {
 }
 
 func TestResetTrafficKeepsCacheState(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 2<<10)
 	buf.LoadLines(0, 2<<10)
 	s.ResetTraffic()
@@ -332,12 +332,6 @@ func TestNewSimRejectsInvalid(t *testing.T) {
 	if _, err := NewSim(bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewSim should panic")
-		}
-	}()
-	MustNewSim(bad)
 }
 
 func TestEDRAMMemSideFillsOnAccess(t *testing.T) {
@@ -347,7 +341,7 @@ func TestEDRAMMemSideFillsOnAccess(t *testing.T) {
 	cfg := testConfig(ModeEDRAMMemSide)
 	cfg.L3 = CacheCfg{Size: 16 << 10, Ways: 8}
 	cfg.EDRAM = CacheCfg{Size: 64 << 10, Ways: 16}
-	s := MustNewSim(cfg)
+	s := testSim(t, cfg)
 	buf := s.Alloc("x", 32<<10) // > L3, fits eDRAM
 	buf.LoadLines(0, 32<<10)    // cold: DDR + installs
 	cold := s.Traffic()
@@ -369,7 +363,7 @@ func TestEDRAMMemSideAbsorbsWritebacks(t *testing.T) {
 	cfg := testConfig(ModeEDRAMMemSide)
 	cfg.L3 = CacheCfg{Size: 16 << 10, Ways: 8}
 	cfg.EDRAM = CacheCfg{Size: 64 << 10, Ways: 16}
-	s := MustNewSim(cfg)
+	s := testSim(t, cfg)
 	buf := s.Alloc("x", 32<<10)
 	buf.StoreLines(0, 32<<10)
 	evict := s.Alloc("y", 32<<10)
@@ -392,7 +386,7 @@ func TestEDRAMMemSideValidation(t *testing.T) {
 }
 
 func BenchmarkSimStreamingAccess(b *testing.B) {
-	s := MustNewSim(testConfig(ModeEDRAM))
+	s := testSim(b, testConfig(ModeEDRAM))
 	buf := s.Alloc("x", 1<<20)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
@@ -402,7 +396,7 @@ func BenchmarkSimStreamingAccess(b *testing.B) {
 }
 
 func TestBufferBoundsChecking(t *testing.T) {
-	s := MustNewSim(testConfig(ModeDDR))
+	s := testSim(t, testConfig(ModeDDR))
 	buf := s.Alloc("x", 100) // rounds to 128 bytes of lines
 	buf.Load(96, 4)          // within the rounded allocation
 	cases := []struct {
@@ -425,4 +419,14 @@ func TestBufferBoundsChecking(t *testing.T) {
 			c.fn()
 		}()
 	}
+}
+
+// testSim is NewSim, failing the test on error.
+func testSim(t testing.TB, cfg Config) *Sim {
+	t.Helper()
+	s, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -173,15 +173,6 @@ func Evaluate(cfg *Config, t Traffic, k KernelProps) (Result, error) {
 	return res, nil
 }
 
-// MustEvaluate panics on error; for internal use with vetted inputs.
-func MustEvaluate(cfg *Config, t Traffic, k KernelProps) Result {
-	r, err := Evaluate(cfg, t, k)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // effectiveMLP models how memory-level parallelism ramps up as the
 // working set grows past a cache capacity: right past capacity C the
 // miss stream is sparse and prefetchers are ineffective (the Stepping

@@ -53,14 +53,14 @@ func TestEvaluateComputeScalesWithCores(t *testing.T) {
 	tr.Bytes[SrcL2] = 1 << 10
 	k := props(1e12)
 	k.Threads = 2 // half the cores
-	res := MustEvaluate(&cfg, tr, k)
+	res := testEvaluate(t, &cfg, tr, k)
 	want := 100.0 * 0.9 * 0.5
 	if math.Abs(res.GFlops-want) > 1e-6 {
 		t.Fatalf("GFlops = %v, want %v", res.GFlops, want)
 	}
 	// SMT threads beyond core count add no flops.
 	k.Threads = 8
-	res = MustEvaluate(&cfg, tr, k)
+	res = testEvaluate(t, &cfg, tr, k)
 	if math.Abs(res.GFlops-90.0) > 1e-6 {
 		t.Fatalf("GFlops = %v, want 90", res.GFlops)
 	}
@@ -72,7 +72,7 @@ func TestEvaluateSinglePrecisionPeak(t *testing.T) {
 	tr.Bytes[SrcL2] = 1 << 10
 	k := props(1e12)
 	k.SinglePrecision = true
-	res := MustEvaluate(&cfg, tr, k)
+	res := testEvaluate(t, &cfg, tr, k)
 	if math.Abs(res.GFlops-200*0.9) > 1e-6 {
 		t.Fatalf("SP GFlops = %v, want 180", res.GFlops)
 	}
@@ -85,7 +85,7 @@ func TestEvaluateDDRBandwidthBound(t *testing.T) {
 	tr.Bytes[SrcDDR] = uint64(20e9) // 20 GB demand
 	tr.Lines[SrcDDR] = tr.Bytes[SrcDDR] / 64
 	k := props(1e9) // tiny compute
-	res := MustEvaluate(&cfg, tr, k)
+	res := testEvaluate(t, &cfg, tr, k)
 	if res.Bound != BoundDDRBW {
 		t.Fatalf("bound = %s, want bw:DDR (latency=%v bw=%v)", res.Bound, res.LatencySec, res.BWSec[SrcDDR])
 	}
@@ -106,7 +106,7 @@ func TestEvaluateLatencyBoundInValley(t *testing.T) {
 	tr.Bytes[SrcDDR] = 1 << 30
 	tr.Lines[SrcDDR] = tr.Bytes[SrcDDR] / 64
 	k := props(1e6)
-	res := MustEvaluate(&cfg, tr, k)
+	res := testEvaluate(t, &cfg, tr, k)
 	if res.Bound != BoundLatency {
 		t.Fatalf("bound = %s, want latency", res.Bound)
 	}
@@ -115,7 +115,7 @@ func TestEvaluateLatencyBoundInValley(t *testing.T) {
 	// and strictly faster per byte.
 	tr2 := tr
 	tr2.FootprintBytes = 10 << 20
-	res2 := MustEvaluate(&cfg, tr2, k)
+	res2 := testEvaluate(t, &cfg, tr2, k)
 	if res2.Bound != BoundDDRBW {
 		t.Fatalf("bound = %s, want bw:DDR", res2.Bound)
 	}
@@ -133,9 +133,9 @@ func TestEvaluateSplitPenalty(t *testing.T) {
 	tr.Lines[SrcMCDRAM] = tr.Bytes[SrcMCDRAM] / 64
 	tr.Lines[SrcDDR] = tr.Bytes[SrcDDR] / 64
 	k := props(1e9)
-	clean := MustEvaluate(&cfg, tr, k)
+	clean := testEvaluate(t, &cfg, tr, k)
 	tr.SplitFlat = true
-	split := MustEvaluate(&cfg, tr, k)
+	split := testEvaluate(t, &cfg, tr, k)
 	if split.Seconds < clean.Seconds*5 {
 		t.Fatalf("split penalty too weak: clean=%v split=%v", clean.Seconds, split.Seconds)
 	}
@@ -156,8 +156,8 @@ func TestEvaluateMCDRAMTagOverhead(t *testing.T) {
 	cfgFlat.MSHRs = 4096
 	trCache := tr
 	trCache.MCTagLines = tr.Lines[SrcMCDRAM] // every access consulted tags
-	rc := MustEvaluate(&cfgCache, trCache, k)
-	rf := MustEvaluate(&cfgFlat, tr, k)
+	rc := testEvaluate(t, &cfgCache, trCache, k)
+	rf := testEvaluate(t, &cfgFlat, tr, k)
 	if rc.Seconds <= rf.Seconds {
 		t.Fatalf("cache mode should pay tag overhead: cache=%v flat=%v", rc.Seconds, rf.Seconds)
 	}
@@ -168,12 +168,6 @@ func TestEvaluateRejectsBadProps(t *testing.T) {
 	if _, err := Evaluate(&cfg, Traffic{}, KernelProps{}); err == nil {
 		t.Fatal("expected error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustEvaluate should panic")
-		}
-	}()
-	MustEvaluate(&cfg, Traffic{}, KernelProps{})
 }
 
 func TestSpilledCapacity(t *testing.T) {
@@ -268,7 +262,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 func TestSteppingShapeOnStreamSweep(t *testing.T) {
 	run := func(mode Mode, bytes int64) Result {
 		cfg := testConfig(mode)
-		s := MustNewSim(cfg)
+		s := testSim(t, cfg)
 		buf := s.Alloc("x", bytes)
 		buf.LoadLines(0, bytes) // cold
 		s.ResetTraffic()
@@ -276,7 +270,7 @@ func TestSteppingShapeOnStreamSweep(t *testing.T) {
 			buf.LoadLines(0, bytes)
 		}
 		k := props(float64(bytes)) // 1 flop/byte: GFlops tracks GB/s
-		return MustEvaluate(&cfg, s.Traffic(), k)
+		return testEvaluate(t, &cfg, s.Traffic(), k)
 	}
 	inL2 := run(ModeDDR, 2<<10)
 	inEDRAM := run(ModeEDRAM, 32<<10) // between L3 16K and eDRAM 64K
@@ -293,4 +287,14 @@ func TestSteppingShapeOnStreamSweep(t *testing.T) {
 	if ratio := plateauE.GFlops / plateauD.GFlops; ratio < 0.9 || ratio > 1.3 {
 		t.Fatalf("plateaus should converge, ratio %v", ratio)
 	}
+}
+
+// testEvaluate is Evaluate, failing the test on error.
+func testEvaluate(t testing.TB, cfg *Config, tr Traffic, k KernelProps) Result {
+	t.Helper()
+	r, err := Evaluate(cfg, tr, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -69,7 +69,7 @@ func TestResetTrafficFieldGuard(t *testing.T) {
 			len(trafficFieldPolicy), typ.NumField())
 	}
 
-	s := MustNewSim(testConfig(ModeFlat))
+	s := testSim(t, testConfig(ModeFlat))
 	var filled Traffic
 	fillNonZero(t, &filled)
 	s.traffic = filled
@@ -101,7 +101,7 @@ func TestResetTrafficFieldGuard(t *testing.T) {
 // use: after a real pass, footprint and split flag survive while every
 // counter restarts from zero and a second pass measures steady state.
 func TestResetTrafficAfterRealRun(t *testing.T) {
-	s := MustNewSim(testConfig(ModeFlat))
+	s := testSim(t, testConfig(ModeFlat))
 	s.Alloc("big", 60<<10)
 	spill := s.Alloc("spill", 16<<10) // straddles MCDRAM and DDR
 	spill.LoadLines(0, spill.Size())

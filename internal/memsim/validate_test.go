@@ -75,7 +75,7 @@ func TestResultValidateRejects(t *testing.T) {
 // after a genuine simulation — the always-on gate must never reject a
 // healthy cell.
 func TestSimCheckInvariantsOnRealRun(t *testing.T) {
-	s := MustNewSim(testConfig(ModeCache))
+	s := testSim(t, testConfig(ModeCache))
 	buf := s.Alloc("x", 1<<20) // larger than every cache level
 	buf.LoadLines(0, 1<<20)
 	buf.StoreLines(0, 512<<10)

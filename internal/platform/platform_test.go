@@ -44,7 +44,7 @@ func TestTable1Modes(t *testing.T) {
 func TestAllConfigsBuildSimulators(t *testing.T) {
 	for _, p := range All() {
 		for _, mode := range p.Modes {
-			cfg := p.MustConfig(mode)
+			cfg := testConfig(t, p, mode)
 			if _, err := memsim.NewSim(cfg); err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, mode, err)
 			}
@@ -61,7 +61,7 @@ func TestScaling(t *testing.T) {
 		t.Fatal("scale round trip broken")
 	}
 	// Scaled capacities preserve the paper's capacity ratios.
-	cfg := p.MustConfig(memsim.ModeEDRAM)
+	cfg := testConfig(t, p, memsim.ModeEDRAM)
 	if cfg.EDRAM.Size*p.Scale != 128<<20 {
 		t.Fatalf("scaled eDRAM = %d", cfg.EDRAM.Size)
 	}
@@ -69,7 +69,7 @@ func TestScaling(t *testing.T) {
 		t.Fatalf("scaled L3 = %d", cfg.L3.Size)
 	}
 	knl := KNL()
-	kcfg := knl.MustConfig(memsim.ModeCache)
+	kcfg := testConfig(t, knl, memsim.ModeCache)
 	if kcfg.MCDRAMBytes*knl.Scale != 16<<30 {
 		t.Fatalf("scaled MCDRAM = %d", kcfg.MCDRAMBytes)
 	}
@@ -87,7 +87,7 @@ func TestThreadsMatchTable2(t *testing.T) {
 
 func TestBandwidthOrderings(t *testing.T) {
 	// The stepping behaviour depends on these orderings.
-	brd := Broadwell().MustConfig(memsim.ModeEDRAM)
+	brd := testConfig(t, Broadwell(), memsim.ModeEDRAM)
 	if !(brd.Links[memsim.SrcL2].BWGBs > brd.Links[memsim.SrcL3].BWGBs &&
 		brd.Links[memsim.SrcL3].BWGBs > brd.Links[memsim.SrcEDRAM].BWGBs &&
 		brd.Links[memsim.SrcEDRAM].BWGBs > brd.Links[memsim.SrcDDR].BWGBs) {
@@ -98,7 +98,7 @@ func TestBandwidthOrderings(t *testing.T) {
 		brd.Links[memsim.SrcEDRAM].LatNS < brd.Links[memsim.SrcDDR].LatNS) {
 		t.Fatal("Broadwell latency ordering broken")
 	}
-	knl := KNL().MustConfig(memsim.ModeFlat)
+	knl := testConfig(t, KNL(), memsim.ModeFlat)
 	if !(knl.Links[memsim.SrcMCDRAM].BWGBs > 4*knl.Links[memsim.SrcDDR].BWGBs) {
 		t.Fatal("MCDRAM must be ~5x DDR bandwidth")
 	}
@@ -118,7 +118,7 @@ func TestSkylakeExtensionPlatform(t *testing.T) {
 	if _, err := sky.Config(memsim.ModeEDRAM); err == nil {
 		t.Fatal("skylake should not offer the CPU-side victim mode")
 	}
-	cfg := sky.MustConfig(memsim.ModeEDRAMMemSide)
+	cfg := testConfig(t, sky, memsim.ModeEDRAMMemSide)
 	if _, err := memsim.NewSim(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -128,4 +128,14 @@ func TestSkylakeExtensionPlatform(t *testing.T) {
 	if len(All()) != 2 {
 		t.Fatal("All must stay the paper's two platforms")
 	}
+}
+
+// testConfig is p.Config, failing the test on error.
+func testConfig(t testing.TB, p *Platform, mode memsim.Mode) memsim.Config {
+	t.Helper()
+	cfg, err := p.Config(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }

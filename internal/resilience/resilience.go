@@ -6,7 +6,7 @@
 //
 // The package is policy only — it decides whether to retry, how long
 // to wait, and when to stop trying; the sweep engine owns the loop
-// that applies those decisions (sweep.Map). Everything is
+// that applies those decisions (sweep.Executor). Everything is
 // deterministic for a given Policy.Seed: backoff jitter derives from a
 // hash of (seed, job key, attempt), never from a global RNG or the
 // clock, so two runs of the same faulty sweep retry identically.
@@ -56,9 +56,6 @@ type Policy struct {
 	// which is what finite sweeps want; the long-running serve daemon
 	// sets a cooldown so a transiently broken family recovers.
 	BreakerCooldown time.Duration
-	// Classify, when non-nil, overrides Retryable as the transient-
-	// failure test.
-	Classify func(error) bool
 	// Sleep, when non-nil, replaces the context-aware backoff sleep —
 	// the test seam for the cancellation-during-backoff races.
 	Sleep func(context.Context, time.Duration) error
@@ -78,14 +75,6 @@ func (p *Policy) Timeout() time.Duration {
 		return 0
 	}
 	return p.JobTimeout
-}
-
-// Retryable reports whether the policy classifies err as transient.
-func (p *Policy) Retryable(err error) bool {
-	if p != nil && p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Retryable(err)
 }
 
 // Backoff returns the deterministic pre-retry delay for a job: capped

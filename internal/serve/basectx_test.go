@@ -17,7 +17,7 @@ import (
 // TestWorkerPoolRunCancelledBeforeEnqueue proves a cancelled caller
 // never dispatches: fn must not run and the shard loads stay balanced.
 func TestWorkerPoolRunCancelledBeforeEnqueue(t *testing.T) {
-	pool := newWorkerPool(2, &roundRobinRouter{})
+	pool := newWorkerPool(2)
 	defer pool.close(context.Background()) //nolint:errcheck
 
 	ctx, cancel := context.WithCancel(context.Background())

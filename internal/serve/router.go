@@ -14,41 +14,9 @@ import (
 // so shard choice is a cache decision: a digest that previously landed
 // on a warm shard finds its pooled simulators hot.
 
-// router is the pluggable shard-selection policy.
-type router interface {
-	name() string
-	// pick returns a shard index in [0, len(loads)); loads is the
-	// current queued+running depth per shard.
-	pick(key string, loads []int64) int
-}
-
-// newRouter builds the policy named by the -router flag.
-func newRouter(name string) (router, error) {
-	switch name {
-	case "", "affinity":
-		return &affinityRouter{shards: map[string]int{}, cap: 1 << 16}, nil
-	case "least-loaded":
-		return leastLoadedRouter{}, nil
-	case "round-robin":
-		return &roundRobinRouter{}, nil
-	}
-	return nil, fmt.Errorf("serve: unknown router %q (want affinity, least-loaded or round-robin)", name)
-}
-
-// roundRobinRouter cycles shards regardless of key or load.
-type roundRobinRouter struct{ next atomic.Uint64 }
-
-func (r *roundRobinRouter) name() string { return "round-robin" }
-func (r *roundRobinRouter) pick(_ string, loads []int64) int {
-	return int((r.next.Add(1) - 1) % uint64(len(loads)))
-}
-
-// leastLoadedRouter picks the minimum-depth shard, lowest index on
-// ties — deterministic under equal load.
-type leastLoadedRouter struct{}
-
-func (leastLoadedRouter) name() string { return "least-loaded" }
-func (leastLoadedRouter) pick(_ string, loads []int64) int {
+// leastLoaded picks the minimum-depth shard, lowest index on ties —
+// deterministic under equal load.
+func leastLoaded(loads []int64) int {
 	best := 0
 	for i, l := range loads {
 		if l < loads[best] {
@@ -70,15 +38,13 @@ type affinityRouter struct {
 	cap    int
 }
 
-func (r *affinityRouter) name() string { return "affinity" }
-
 func (r *affinityRouter) pick(key string, loads []int64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if shard, ok := r.shards[key]; ok && shard < len(loads) {
 		return shard
 	}
-	shard := leastLoadedRouter{}.pick(key, loads)
+	shard := leastLoaded(loads)
 	if len(r.ring) < r.cap {
 		r.ring = append(r.ring, key)
 	} else {
@@ -96,23 +62,23 @@ type task struct {
 	done chan struct{}
 }
 
-// workerPool is the fixed set of persistent sweep workers the router
-// schedules over. Each shard owns one sweep.Worker for its goroutine's
-// lifetime, so pooled simulators stay warm across requests — the whole
-// point of affinity routing.
+// workerPool is the fixed set of persistent sweep workers the affinity
+// router schedules over. Each shard owns one sweep.Worker for its
+// goroutine's lifetime, so pooled simulators stay warm across requests
+// — the whole point of affinity routing.
 type workerPool struct {
-	route  router
+	route  *affinityRouter
 	queues []chan *task
 	loads  []atomic.Int64
 	wg     sync.WaitGroup
 }
 
-func newWorkerPool(n int, route router) *workerPool {
+func newWorkerPool(n int) *workerPool {
 	if n < 1 {
 		n = 1
 	}
 	p := &workerPool{
-		route:  route,
+		route:  &affinityRouter{shards: map[string]int{}, cap: 1 << 16},
 		queues: make([]chan *task, n),
 		loads:  make([]atomic.Int64, n),
 	}

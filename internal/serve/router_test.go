@@ -2,49 +2,19 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/sweep"
 )
 
-func TestNewRouterNames(t *testing.T) {
-	for _, tc := range []struct{ flag, name string }{
-		{"", "affinity"},
-		{"affinity", "affinity"},
-		{"least-loaded", "least-loaded"},
-		{"round-robin", "round-robin"},
-	} {
-		r, err := newRouter(tc.flag)
-		if err != nil {
-			t.Fatalf("newRouter(%q): %v", tc.flag, err)
-		}
-		if r.name() != tc.name {
-			t.Fatalf("newRouter(%q).name() = %q, want %q", tc.flag, r.name(), tc.name)
-		}
-	}
-	if _, err := newRouter("random"); err == nil {
-		t.Fatal("unknown router accepted")
-	}
-}
-
-func TestRoundRobinCycles(t *testing.T) {
-	r := &roundRobinRouter{}
-	loads := make([]int64, 3)
-	for i := 0; i < 7; i++ {
-		if got, want := r.pick("k", loads), i%3; got != want {
-			t.Fatalf("pick %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestLeastLoadedPicksMinimum(t *testing.T) {
-	r := leastLoadedRouter{}
-	if got := r.pick("k", []int64{3, 1, 2}); got != 1 {
+	if got := leastLoaded([]int64{3, 1, 2}); got != 1 {
 		t.Fatalf("pick = %d, want 1", got)
 	}
 	// Ties break to the lowest index — deterministic under equal load.
-	if got := r.pick("k", []int64{2, 0, 0}); got != 1 {
+	if got := leastLoaded([]int64{2, 0, 0}); got != 1 {
 		t.Fatalf("tie pick = %d, want 1", got)
 	}
 }
@@ -68,13 +38,17 @@ func TestAffinityStickyAndEviction(t *testing.T) {
 }
 
 func TestWorkerPoolRunsOnPickedShard(t *testing.T) {
-	pool := newWorkerPool(3, &roundRobinRouter{})
+	pool := newWorkerPool(3)
 	var mu sync.Mutex
-	seen := map[int]int{} // worker ID → runs
+	ran := map[string]int{} // key → worker ID that ran it
 	for i := 0; i < 6; i++ {
-		shard, err := pool.run(context.Background(), "k", func(w *sweep.Worker) {
+		key := fmt.Sprintf("k%d", i%2)
+		shard, err := pool.run(context.Background(), key, func(w *sweep.Worker) {
 			mu.Lock()
-			seen[w.ID()]++
+			if prev, ok := ran[key]; ok && prev != w.ID() {
+				t.Errorf("key %s ran on worker %d, then %d", key, prev, w.ID())
+			}
+			ran[key] = w.ID()
 			mu.Unlock()
 		})
 		if err != nil {
@@ -83,10 +57,11 @@ func TestWorkerPoolRunsOnPickedShard(t *testing.T) {
 		if shard < 0 || shard >= 3 {
 			t.Fatalf("run returned shard %d outside pool", shard)
 		}
-	}
-	for id := 0; id < 3; id++ {
-		if seen[id] != 2 {
-			t.Fatalf("round-robin shard %d ran %d tasks, want 2 (seen %v)", id, seen[id], seen)
+		mu.Lock()
+		id := ran[key]
+		mu.Unlock()
+		if id != shard {
+			t.Fatalf("key %s: run returned shard %d but worker %d ran it", key, shard, id)
 		}
 	}
 	for i, l := range pool.snapshot() {

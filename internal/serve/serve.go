@@ -10,9 +10,10 @@
 // journaled and never touch disk or the worker pool. Journal hits
 // promote into the hot set. Misses pass token-bucket admission control
 // (per-class rates, bounded wait queue, 429 + Retry-After on overflow)
-// and a pluggable router — round-robin, least-loaded, or
-// cache-affinity — onto a pool of persistent sweep workers whose
-// pooled simulators stay warm across requests. Computed cells are
+// and a cache-affinity router onto a pool of persistent sweep workers
+// whose pooled simulators stay warm across requests; each cold cell
+// runs through the sweep engine's executor (sweep.Run) under a
+// per-kernel-family circuit breaker. Computed cells are
 // journaled under the same digests the batch sweeps use, so the daemon
 // and opmbench warm each other.
 //
@@ -62,9 +63,6 @@ type Config struct {
 	Workers int
 	// HotSet is the LRU capacity in cells (default 4096).
 	HotSet int
-	// Router selects the shard policy: "affinity" (default),
-	// "least-loaded", or "round-robin".
-	Router string
 	// Classes overrides the admission classes (default
 	// DefaultClasses).
 	Classes map[string]ClassConfig
@@ -93,8 +91,8 @@ type Server struct {
 	bounds     map[string]float64 // twin.Family → calibrated MAPE
 	policy     *resilience.Policy
 
-	breakerMu sync.Mutex
-	breakers  map[string]*resilience.Breaker // per kernel family
+	execMu sync.Mutex
+	execs  map[string]*sweep.Executor // per kernel family, each owning its breaker
 
 	refineMu sync.Mutex
 	refining map[string]bool // exact digests with a refinement in flight
@@ -116,10 +114,6 @@ type Server struct {
 
 // New builds a Server from cfg.
 func New(cfg Config) (*Server, error) {
-	route, err := newRouter(cfg.Router)
-	if err != nil {
-		return nil, err
-	}
 	adm, err := newAdmission(cfg.Classes)
 	if err != nil {
 		return nil, err
@@ -140,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 		st:  cfg.Store,
 		reg: cfg.Registry,
 		tr:  cfg.Tracer,
-		eng: &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer, Policy: cfg.Policy},
+		eng: &sweep.Engine{Obs: cfg.Registry, Trace: cfg.Tracer},
 		hot: newHotSet(cfg.HotSet),
 		adm: adm,
 		cat: newCatalog(),
@@ -151,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 		},
 		bounds:   map[string]float64{},
 		policy:   cfg.Policy,
-		breakers: map[string]*resilience.Breaker{},
+		execs:    map[string]*sweep.Executor{},
 		refining: map[string]bool{},
 		jobs:     newJobTable(64),
 		startNS:  nowNS(),
@@ -169,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 	for _, name := range adm.names() {
 		s.reg.Histogram("serve/latency/" + name) //opmlint:allow counternames — class names are the closed admission-config set validated by newAdmission
 	}
-	s.pool = newWorkerPool(workers, route)
+	s.pool = newWorkerPool(workers)
 	return s, nil
 }
 
@@ -288,7 +282,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // writeQueryError maps an answer error onto its status code.
 func writeQueryError(w http.ResponseWriter, err error) {
-	var over *OverloadError
+	var (
+		over    *OverloadError
+		timeout *resilience.TimeoutError
+	)
 	switch {
 	case errors.As(err, &over):
 		secs := int64(over.RetryAfter/time.Second) + 1
@@ -296,6 +293,10 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, resilience.ErrBreakerOpen):
 		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.As(err, &timeout):
+		httpError(w, http.StatusGatewayTimeout, err)
+	case errors.Is(err, sweep.ErrPanic):
+		httpError(w, http.StatusInternalServerError, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		httpError(w, 499, err) // client went away mid-wait
 	default:
@@ -407,7 +408,7 @@ func (s *Server) admit(ctx context.Context, class, traceID, traceKey string) err
 }
 
 // computeCell runs the admitted cold path: route to a worker shard,
-// evaluate under the resilience policy, journal, and return the cell's
+// evaluate through the family's executor, journal, and return the cell's
 // canonical bytes. It emits the same enqueue→dispatch→done chain shape
 // batch sweeps emit, so opmprof reads serve chains natively.
 func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, estName, digest, traceID, traceKey, class string) ([]byte, int, error) {
@@ -425,7 +426,7 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, e
 		s.tr.Emit(traceID, obs.EvDispatch, traceKey, w.ID(), 0, "")
 		cctx := obs.WithTraceContext(ctx, s.tr, traceID, traceKey, w.ID())
 		var v any
-		v, err = s.evalWithPolicy(cctx, c, est, w, traceID, traceKey)
+		v, err = sweep.Run(cctx, s.executor(twin.Family(c.kernelName)), w, c.key, est, c.compute)
 		if err != nil {
 			s.tr.Emit(traceID, obs.EvError, traceKey, w.ID(), 0, err.Error())
 			return
@@ -454,7 +455,7 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, e
 		s.reg.Counter("serve/errors").Inc()
 		return nil, shard, runErr
 	}
-	s.tr.Emit(traceID, obs.EvRoute, traceKey, shard, 0, fmt.Sprintf("%s:%d", s.pool.route.name(), shard))
+	s.tr.Emit(traceID, obs.EvRoute, traceKey, shard, 0, "affinity:"+strconv.Itoa(shard))
 	if err != nil {
 		s.reg.Counter("serve/errors").Inc()
 		return nil, shard, err
@@ -463,56 +464,18 @@ func (s *Server) computeCell(ctx context.Context, c *cell, est core.Estimator, e
 	return data, shard, nil
 }
 
-// evalWithPolicy evaluates one cell under the resilience policy: the
-// per-family circuit breaker gates the attempt, transient failures
-// retry with the policy's deterministic backoff, and the verdict feeds
-// the breaker. A nil policy evaluates once, as the batch path does.
-func (s *Server) evalWithPolicy(ctx context.Context, c *cell, est core.Estimator, w *sweep.Worker, traceID, traceKey string) (any, error) {
-	br := s.breaker(twin.Family(c.kernelName))
-	if !br.Allow() {
-		s.tr.Emit(traceID, obs.EvBreakerOpen, traceKey, w.ID(), 0, "short-circuit")
-		s.reg.Counter("serve/breaker_rejects").Inc()
-		return nil, fmt.Errorf("serve: family %s: %w", twin.Family(c.kernelName), resilience.ErrBreakerOpen)
-	}
-	attempts := s.policy.Attempts()
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		v, err := c.compute(ctx, w, est)
-		if err == nil {
-			br.Success()
-			return v, nil
-		}
-		lastErr = err
-		if attempt < attempts && s.policy.Retryable(err) {
-			s.reg.Counter("serve/retries").Inc()
-			d := s.policy.Backoff(c.key, attempt)
-			s.tr.Emit(traceID, obs.EvRetry, traceKey, w.ID(), d, err.Error())
-			if serr := s.policy.SleepBackoff(ctx, d); serr != nil {
-				lastErr = serr
-				break
-			}
-			continue
-		}
-		break
-	}
-	if br.Failure() {
-		s.tr.Emit(traceID, obs.EvBreakerOpen, traceKey, w.ID(), 0, "tripped")
-	}
-	return nil, lastErr
-}
-
-// breaker returns (creating if needed) the family's circuit breaker.
-// Nil when the policy disables breaking — resilience.Breaker is
-// nil-safe.
-func (s *Server) breaker(family string) *resilience.Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	br, ok := s.breakers[family]
+// executor returns (creating if needed) the family's executor: the
+// server's policy with a breaker of the family's own, so one broken
+// kernel family fails fast without blocking the others.
+func (s *Server) executor(family string) *sweep.Executor {
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
+	x, ok := s.execs[family]
 	if !ok {
-		br = s.policy.NewBreaker()
-		s.breakers[family] = br
+		x = sweep.NewExecutor(s.policy, nil, s.reg)
+		s.execs[family] = x
 	}
-	return br
+	return x
 }
 
 // answerTwinFirst serves the provisional twin answer inline and
@@ -637,7 +600,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"cap":     s.hot.cap,
 		},
 		"workers": s.pool.size(),
-		"router":  s.pool.route.name(),
 		"loads":   s.pool.snapshot(),
 		"jobs":    s.jobs.counts(),
 	}

@@ -162,7 +162,7 @@ func RunSequential(ctx context.Context, p *Plan, dir string, reg *obs.Registry) 
 		if _, ok := st.GetRaw(c.Digest); ok {
 			continue
 		}
-		pt, err := p.Compute(ctx, w, c)
+		pt, err := sweep.Run(ctx, nil, w, c.Key, c, p.Compute)
 		if err != nil {
 			return fmt.Errorf("shard: sequential %s fp=%d: %w", c.Kernel, c.FP, err)
 		}

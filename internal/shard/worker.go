@@ -135,7 +135,7 @@ func runWorker(manifestPath string) int {
 			hb.set(func(b *beat) { b.Committed++ })
 			continue
 		}
-		pt, err := plan.Compute(ctx, w, c)
+		pt, err := sweep.Run(ctx, nil, w, c.Key, c, plan.Compute)
 		if err != nil {
 			warnf("%s fp=%d: %v", c.Kernel, c.FP, err)
 			failed++

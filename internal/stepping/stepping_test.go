@@ -42,8 +42,8 @@ func TestModelValidation(t *testing.T) {
 
 func TestSteppingCurveShape(t *testing.T) {
 	k := streamKernel()
-	with := MustModel("edram", testLevels(true), k, 1<<20, 1<<31, 120)
-	without := MustModel("ddr", testLevels(false), k, 1<<20, 1<<31, 120)
+	with := testModel(t, "edram", testLevels(true), k, 1<<20, 1<<31, 120)
+	without := testModel(t, "ddr", testLevels(false), k, 1<<20, 1<<31, 120)
 
 	at := func(c Curve, fp int64) Point {
 		best := c.Points[0]
@@ -82,7 +82,7 @@ func TestSteppingCurveShape(t *testing.T) {
 func TestComputeCeilingCaps(t *testing.T) {
 	k := streamKernel()
 	k.AI = 1000 // compute bound everywhere
-	c := MustModel("x", testLevels(true), k, 1<<20, 1<<30, 20)
+	c := testModel(t, "x", testLevels(true), k, 1<<20, 1<<30, 20)
 	for _, p := range c.Points {
 		if p.GFlops != k.PeakGFlops {
 			t.Fatalf("compute-bound point below peak: %+v", p)
@@ -95,8 +95,8 @@ func TestScaleCapacityExtendsPeak(t *testing.T) {
 	// the right: at a footprint between C and 2C, the scaled hierarchy
 	// wins.
 	k := streamKernel()
-	base := MustModel("base", testLevels(true), k, 160<<20, 200<<20, 10)
-	big := MustModel("big", ScaleCapacity(testLevels(true), "eDRAM", 2), k, 160<<20, 200<<20, 10)
+	base := testModel(t, "base", testLevels(true), k, 160<<20, 200<<20, 10)
+	big := testModel(t, "big", ScaleCapacity(testLevels(true), "eDRAM", 2), k, 160<<20, 200<<20, 10)
 	for i := range base.Points {
 		if big.Points[i].GFlops < base.Points[i].GFlops {
 			t.Fatalf("larger OPM slower at %d", base.Points[i].Footprint)
@@ -111,8 +111,8 @@ func TestScaleBandwidthAmplifiesPeak(t *testing.T) {
 	// Figure 30(B): doubling OPM bandwidth amplifies the peak inside
 	// the effective region.
 	k := streamKernel()
-	base := MustModel("base", testLevels(true), k, 32<<20, 96<<20, 8)
-	fast := MustModel("fast", ScaleBandwidth(testLevels(true), "eDRAM", 2), k, 32<<20, 96<<20, 8)
+	base := testModel(t, "base", testLevels(true), k, 32<<20, 96<<20, 8)
+	fast := testModel(t, "fast", ScaleBandwidth(testLevels(true), "eDRAM", 2), k, 32<<20, 96<<20, 8)
 	improved := false
 	for i := range base.Points {
 		if fast.Points[i].GFlops > base.Points[i].GFlops*1.3 {
@@ -129,8 +129,8 @@ func TestScaleBandwidthAmplifiesPeak(t *testing.T) {
 
 func TestEffectiveRegion(t *testing.T) {
 	k := streamKernel()
-	with := MustModel("edram", testLevels(true), k, 1<<20, 1<<31, 150)
-	without := MustModel("ddr", testLevels(false), k, 1<<20, 1<<31, 150)
+	with := testModel(t, "edram", testLevels(true), k, 1<<20, 1<<31, 150)
+	without := testModel(t, "ddr", testLevels(false), k, 1<<20, 1<<31, 150)
 	lo, hi, ok := EffectiveRegion(with, without, 1.05)
 	if !ok {
 		t.Fatal("no effective region found")
@@ -156,4 +156,14 @@ func abs64(x int64) int64 {
 		return -x
 	}
 	return x
+}
+
+// testModel is Model, failing the test on error.
+func testModel(t testing.TB, name string, levels []Level, k Kernel, minFP, maxFP int64, points int) Curve {
+	t.Helper()
+	c, err := Model(name, levels, k, minFP, maxFP, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -46,8 +46,7 @@ type Engine struct {
 	// capped exponential backoff and seeded jitter for transient
 	// failures, a per-attempt deadline, and a per-sweep circuit
 	// breaker that short-circuits the remaining jobs after a run of
-	// consecutive drops. Nil reproduces the single-attempt behaviour
-	// at the cost of one branch per job.
+	// consecutive drops (see Executor). Nil runs each job once.
 	Policy *resilience.Policy
 	// Inject, when non-nil, is the chaos hook: the engine fires the
 	// injector's "job" point (keyed by submission index) before every
@@ -56,7 +55,7 @@ type Engine struct {
 	Inject *faultinject.Injector
 	// Trace, when non-nil, receives the causal per-job event chain:
 	// enqueue/dispatch/done on every job, plus attempt/retry/breaker
-	// events from the resilient path and estimator/gate/store events
+	// events from the executor and estimator/gate/store events
 	// from the layers below (via the job context). Nil — the default —
 	// costs one branch per job. Like Obs, the tracer observes the sweep
 	// without touching its results: traced and untraced runs are
@@ -243,13 +242,12 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	// registry they are nil and every use below no-ops.
 	obsOn := e.Obs != nil
 	var (
-		mJobs   = e.Obs.Counter("sweep/jobs")
-		mErrs   = e.Obs.Counter("sweep/job_errors")
-		mPanics = e.Obs.Counter("sweep/job_panics")
-		mLat    = e.Obs.Histogram("sweep/job_latency")
-		mWait   = e.Obs.Histogram("sweep/queue_wait")
-		mUtil   = e.Obs.Gauge("sweep/worker_utilization")
-		mETA    = e.Obs.Gauge("sweep/eta_seconds")
+		mJobs = e.Obs.Counter("sweep/jobs")
+		mErrs = e.Obs.Counter("sweep/job_errors")
+		mLat  = e.Obs.Histogram("sweep/job_latency")
+		mWait = e.Obs.Histogram("sweep/queue_wait")
+		mUtil = e.Obs.Gauge("sweep/worker_utilization")
+		mETA  = e.Obs.Gauge("sweep/eta_seconds")
 	)
 	total := len(jobs)
 	// Trace identity resolves once per sweep: either the caller
@@ -278,18 +276,9 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 			}
 		}
 	}
-	// Resilience state: one breaker per Map call (= per sweep family),
-	// instruments resolved once. resilient stays false on the
-	// production fast path (nil policy, nil injector).
-	resilient := e.Policy != nil || e.Inject != nil
-	var (
-		breaker *resilience.Breaker
-		resIns  resInstruments
-	)
-	if resilient {
-		breaker = e.Policy.NewBreaker()
-		resIns = resolveResInstruments(e.Obs)
-	}
+	// One executor, hence one breaker, per Map call (= per sweep
+	// family).
+	x := NewExecutor(e.Policy, e.Inject, e.Obs)
 	// etaRate is the EWMA-smoothed overall ns-per-job estimate,
 	// guarded by mu (report is serialized).
 	var etaRate float64
@@ -297,9 +286,11 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 		if e.Progress == nil && !obsOn {
 			return
 		}
+		// Read the count under the lock, so reports are serialized in
+		// completion order and the last one always covers the sweep.
+		mu.Lock()
 		d := int(done.Load())
 		elapsed := time.Since(start)
-		mu.Lock()
 		var eta time.Duration
 		if d >= minETAJobs && d < total {
 			rate := float64(elapsed) / float64(d)
@@ -355,13 +346,9 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 					tr.Emit(traceIDs[i], obs.EvDispatch, traceKeys[i], wi, 0, "")
 					jctx = obs.WithTraceContext(ctx, tr, traceIDs[i], traceKeys[i], wi)
 				}
-				var r R
-				var err error
-				if resilient {
-					r, err = runJobResilient(jctx, e.Policy, e.Inject, breaker, w, i, jobs[i], fn, mPanics, resIns)
-				} else {
-					r, err = runJob(jctx, w, jobs[i], fn, mPanics, nil, "")
-				}
+				// The submission index is the one identity every job has;
+				// it keys the injector's fire decision and the backoff jitter.
+				r, err := Run(jctx, x, w, strconv.Itoa(i), jobs[i], fn)
 				if err != nil {
 					fail(i, err)
 				} else {
@@ -397,30 +384,6 @@ func Map[J, R any](ctx context.Context, e *Engine, jobs []J, fn func(ctx context
 	}
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return results, errs
-}
-
-// runJob invokes fn with panic containment: a panicking cell (e.g. a
-// buffer bounds violation in a trace generator) becomes that job's
-// error instead of killing the whole sweep, counted on panics. With a
-// non-nil injector the "job" chaos point fires first, inside the
-// recover scope so injected panics are contained like real ones — but
-// classified transient (an InjectedPanic heals on retry, a real panic
-// is a deterministic bug that would only panic again).
-func runJob[J, R any](ctx context.Context, w *Worker, job J, fn func(context.Context, *Worker, J) (R, error), panics *obs.Counter, inj *faultinject.Injector, key string) (r R, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			panics.Inc()
-			if ip, ok := p.(faultinject.InjectedPanic); ok {
-				err = resilience.MarkTransient(fmt.Errorf("sweep: job panicked: %s", ip))
-				return
-			}
-			err = fmt.Errorf("sweep: job panicked: %v", p)
-		}
-	}()
-	if ferr := inj.Job(ctx, key); ferr != nil {
-		return r, ferr
-	}
-	return fn(ctx, w, job)
 }
 
 // Compact splits a Map outcome into the surviving results and the

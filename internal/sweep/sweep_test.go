@@ -82,6 +82,9 @@ func TestMapRecoversPanics(t *testing.T) {
 	if !errors.As(err, &errs) || len(errs) != 1 || errs[0].Index != 1 {
 		t.Fatalf("want one JobError at index 1, got %v", err)
 	}
+	if !errors.Is(errs[0], ErrPanic) {
+		t.Fatalf("contained panic %v does not match ErrPanic", errs[0])
+	}
 	if out[0] != "ok" || out[2] != "ok" {
 		t.Fatalf("panic poisoned neighbouring jobs: %v", out)
 	}

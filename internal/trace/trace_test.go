@@ -38,7 +38,7 @@ func smallCfg(mode memsim.Mode) memsim.Config {
 
 func runWorkload(t *testing.T, w Workload, mode memsim.Mode) memsim.Traffic {
 	t.Helper()
-	sim := memsim.MustNewSim(smallCfg(mode))
+	sim := testSim(t, smallCfg(mode))
 	w.Simulate(sim)
 	return sim.Traffic()
 }
@@ -228,7 +228,7 @@ func TestDenseModelMatchesTraceGEMM(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{
 		{128, 16}, {128, 64}, {256, 32}, {256, 128},
 	} {
-		sim := memsim.MustNewSim(cfg)
+		sim := testSim(t, cfg)
 		(&GEMM{N: tc.n, NB: tc.nb}).Simulate(sim)
 		traceDDR := float64(sim.Traffic().Bytes[memsim.SrcDDR] + sim.Traffic().WBBytes[memsim.SrcDDR])
 
@@ -312,7 +312,7 @@ func TestDenseModelMatchesTraceCholesky(t *testing.T) {
 	for _, tc := range []struct{ n, nb int }{
 		{256, 32}, {256, 64}, {384, 48},
 	} {
-		sim := memsim.MustNewSim(cfg)
+		sim := testSim(t, cfg)
 		(&Cholesky{N: tc.n, NB: tc.nb}).Simulate(sim)
 		traceDDR := float64(sim.Traffic().Bytes[memsim.SrcDDR] + sim.Traffic().WBBytes[memsim.SrcDDR])
 
@@ -331,4 +331,14 @@ func TestDenseModelMatchesTraceCholesky(t *testing.T) {
 				tc.n, tc.nb, ratio, modelDDR, traceDDR)
 		}
 	}
+}
+
+// testSim is memsim.NewSim, failing the test on error.
+func testSim(t testing.TB, cfg memsim.Config) *memsim.Sim {
+	t.Helper()
+	s, err := memsim.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
