@@ -1,12 +1,18 @@
 # Convenience targets; see scripts/check.sh for the full gate.
 
-.PHONY: build test loc lint lint-diff check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
+.PHONY: build test golden loc lint lint-diff check calib calib-baseline chaos shard-chaos bench bench-obs bench-store bench-resilience bench-twin bench-json bench-baseline bench-trace bench-serve bench-shard profile serve
 
 build:
 	go build ./...
 
 test:
 	go test ./...
+
+# Rewrite the traffic golden (internal/core/testdata/golden/traffic.json)
+# after a deliberate model change. The test refuses unless
+# core.ModelVersion was bumped first.
+golden:
+	go test ./internal/core -run '^TestTrafficGolden$$' -count=1 -update
 
 # Non-test Go line count: the code-size measure simplification changes
 # are judged by. Excludes _test.go files, testdata/ fixtures and the

@@ -1,7 +1,9 @@
-// Package cache provides the cache models used by the on-package-memory
-// (OPM) hierarchy simulator: set-associative LRU caches, direct-mapped
-// caches (the MCDRAM cache mode on Knights Landing is direct-mapped),
-// and the victim-cache coupling used by the eDRAM L4 on Broadwell.
+// Package cache provides the one cache model the on-package-memory
+// (OPM) hierarchy simulator builds every level from: SetAssoc, a
+// set-associative true-LRU cache. A direct-mapped cache (the MCDRAM
+// cache mode on Knights Landing) is its 1-way instance; how a level is
+// wired into the hierarchy (inclusive fill, victim cache, memory-side
+// buffer) is the simulator's business, not the cache's.
 //
 // All caches operate on line addresses (byte address >> LineShift) so
 // callers can coalesce consecutive accesses cheaply. Caches are not
@@ -49,31 +51,4 @@ type Line struct {
 	Addr  uint64 // line address of the displaced line
 	Dirty bool   // whether it must be written back
 	Valid bool   // false when the fill landed in an empty way
-}
-
-// Cache is the interface the hierarchy simulator drives.
-//
-// Access performs a lookup for a line and, on a miss, fills the line
-// (allocate-on-miss for both reads and writes), returning the displaced
-// line if any. Write hits mark the line dirty.
-type Cache interface {
-	// Access looks up lineAddr, fills on miss, and returns whether it
-	// hit plus the line evicted by the fill (Valid=false if none).
-	Access(lineAddr uint64, write bool) (hit bool, evicted Line)
-	// Probe reports whether the line is present without changing
-	// replacement state.
-	Probe(lineAddr uint64) bool
-	// Invalidate removes the line if present, reporting presence and
-	// dirtiness. Used by the victim-cache promotion path.
-	Invalidate(lineAddr uint64) (found, dirty bool)
-	// Insert places a line without counting an access (fills arriving
-	// from below or victims arriving from above). Returns the evicted
-	// line if any.
-	Insert(lineAddr uint64, dirty bool) Line
-	// Stats returns the accumulated statistics.
-	Stats() *Stats
-	// SizeBytes returns the capacity in bytes.
-	SizeBytes() int64
-	// Reset clears contents and statistics.
-	Reset()
 }

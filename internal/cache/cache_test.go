@@ -163,8 +163,11 @@ func TestSetAssocPanicsOnBadGeometry(t *testing.T) {
 	mustPanic("non-pow2 sets", func() { NewSetAssoc("x", 6*LineSize, 2) })
 }
 
+// The direct-mapped tests drive the 1-way SetAssoc, the shape of the
+// KNL MCDRAM cache.
+
 func TestDirectMappedBasic(t *testing.T) {
-	c := NewDirectMapped("mcdram", 4*LineSize)
+	c := NewSetAssoc("mcdram", 4*LineSize, 1)
 	hit, _ := c.Access(0, false)
 	if hit {
 		t.Fatal("cold miss expected")
@@ -187,7 +190,7 @@ func TestDirectMappedConflictThrashing(t *testing.T) {
 	// Two lines with the same index thrash in a DM cache but coexist in
 	// a 2-way cache — the behavioural difference behind the paper's
 	// cache-mode "set conflict" discussion.
-	dm := NewDirectMapped("dm", 4*LineSize)
+	dm := NewSetAssoc("dm", 4*LineSize, 1)
 	sa := NewSetAssoc("sa", 4*LineSize, 2)
 	for i := 0; i < 10; i++ {
 		dm.Access(0, false)
@@ -204,7 +207,7 @@ func TestDirectMappedConflictThrashing(t *testing.T) {
 }
 
 func TestDirectMappedInvalidateInsert(t *testing.T) {
-	c := NewDirectMapped("t", 4*LineSize)
+	c := NewSetAssoc("t", 4*LineSize, 1)
 	c.Insert(2, true)
 	if c.Stats().Accesses != 0 {
 		t.Fatal("insert must not count accesses")
@@ -227,13 +230,13 @@ func TestDirectMappedPanicsOnBadGeometry(t *testing.T) {
 			t.Fatal("expected panic for non-pow2 line count")
 		}
 	}()
-	NewDirectMapped("x", 3*LineSize)
+	NewSetAssoc("x", 3*LineSize, 1)
 }
 
 func TestReset(t *testing.T) {
-	for _, c := range []Cache{
+	for _, c := range []*SetAssoc{
 		NewSetAssoc("a", 8*LineSize, 2),
-		NewDirectMapped("b", 8*LineSize),
+		NewSetAssoc("b", 8*LineSize, 1),
 	} {
 		c.Access(1, true)
 		c.Access(2, false)
@@ -255,12 +258,7 @@ func TestPropertyFittingWorkingSetAllHits(t *testing.T) {
 		ways := []int{1, 2, 4, 8}[rng.Intn(4)]
 		setsLog := 2 + rng.Intn(4)
 		capBytes := int64((1<<setsLog)*ways) * LineSize
-		var c Cache
-		if ways == 1 && rng.Intn(2) == 0 {
-			c = NewDirectMapped("p", capBytes)
-		} else {
-			c = NewSetAssoc("p", capBytes, ways)
-		}
+		c := NewSetAssoc("p", capBytes, ways)
 		// Working set: one line per set per way — guaranteed to fit.
 		lines := make([]uint64, 0)
 		sets := uint64(1 << setsLog)
@@ -340,7 +338,7 @@ func BenchmarkSetAssocAccess(b *testing.B) {
 }
 
 func BenchmarkDirectMappedAccess(b *testing.B) {
-	c := NewDirectMapped("mc", 256*1024*1024)
+	c := NewSetAssoc("mc", 256*1024*1024, 1) // KNL MCDRAM cache, scaled
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]uint64, 1<<16)
 	for i := range addrs {

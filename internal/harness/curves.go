@@ -14,16 +14,20 @@ import (
 	"repro/internal/trace"
 )
 
-// curveFootprints returns the log-spaced paper-scale footprints of the
+// CurveFootprintRange returns the paper-scale footprint span of the
 // Stream/Stencil/FFT sweeps (Figures 12–14 on Broadwell span ~1MB–1GB;
 // Figures 23–25 on KNL span ~8MB–32GB).
-func curveFootprints(p *platform.Platform, opt Options) []int64 {
-	var minFP, maxFP int64
+func CurveFootprintRange(p *platform.Platform) (minFP, maxFP int64) {
 	if p.Name == "broadwell" {
-		minFP, maxFP = 1<<20, 1<<30
-	} else {
-		minFP, maxFP = 8<<20, 32<<30
+		return 1 << 20, 1 << 30
 	}
+	return 8 << 20, 32 << 30
+}
+
+// curveFootprints returns the log-spaced footprints of
+// CurveFootprintRange the curve figures sweep.
+func curveFootprints(p *platform.Platform, opt Options) []int64 {
+	minFP, maxFP := CurveFootprintRange(p)
 	points := 16
 	if opt.Full {
 		points = 32

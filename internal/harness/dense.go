@@ -11,20 +11,27 @@ import (
 	"repro/internal/trace"
 )
 
-// denseGrid returns the paper's (order, block) sweep for a platform
-// (Appendix A.2.1/A.2.2): orders 256..16128 step 512 on Broadwell and
-// 256..32000 step 1024 on KNL; blocks 128..4096 step 128 on both. The
-// analytic dense model is cheap, so quick mode only coarsens the block
-// axis.
-func denseGrid(p *platform.Platform, full bool) (orders, blocks []int) {
+// DenseOrderRange returns the paper's dense matrix-order span
+// (Appendix A.2.1/A.2.2): 256..16128 on Broadwell, 256..32000 on KNL.
+func DenseOrderRange(p *platform.Platform) (minN, maxN int) {
 	if p.Name == "broadwell" {
-		for n := 256; n <= 16128; n += 512 {
-			orders = append(orders, n)
-		}
-	} else {
-		for n := 256; n <= 32000; n += 1024 {
-			orders = append(orders, n)
-		}
+		return 256, 16128
+	}
+	return 256, 32000
+}
+
+// denseGrid returns the paper's (order, block) sweep for a platform:
+// the orders of DenseOrderRange in steps of 512 on Broadwell and 1024
+// on KNL; blocks 128..4096 step 128 on both. The analytic dense model
+// is cheap, so quick mode only coarsens the block axis.
+func denseGrid(p *platform.Platform, full bool) (orders, blocks []int) {
+	minN, maxN := DenseOrderRange(p)
+	orderStep := 1024
+	if p.Name == "broadwell" {
+		orderStep = 512
+	}
+	for n := minN; n <= maxN; n += orderStep {
+		orders = append(orders, n)
 	}
 	step := 128
 	if !full {

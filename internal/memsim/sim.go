@@ -104,12 +104,12 @@ func (b Buffer) StoreLines(off, n int64) {
 type Sim struct {
 	cfg Config
 
-	l1      *cache.SetAssoc
-	l2      *cache.SetAssoc
-	l3      *cache.SetAssoc
-	edram   *cache.SetAssoc
-	edramMS *cache.SetAssoc     // memory-side eDRAM (Skylake arrangement)
-	mcCache *cache.DirectMapped // MCDRAM cache portion (cache/hybrid)
+	l1     *cache.SetAssoc
+	l2     *cache.SetAssoc
+	l3     *cache.SetAssoc
+	edram  *cache.SetAssoc // CPU-side eDRAM victim cache (Broadwell)
+	ms     memSide         // cache in front of DDR, if the mode has one
+	levels []level         // the instantiated caches, nearest to farthest
 
 	mcFlatCap   int64 // flat-addressable MCDRAM bytes (flat/hybrid)
 	mcAllocated int64
@@ -119,6 +119,22 @@ type Sim struct {
 	lastLine uint64 // trivial same-line coalescing for scalar streams
 	lastWr   bool
 	hasLast  bool
+}
+
+// memSide is a cache in front of DDR: KNL's direct-mapped MCDRAM cache
+// (cache mode, and hybrid's cached half) or Skylake's set-associative
+// memory-side eDRAM. Its hits are served by src; the fills and
+// writebacks it absorbs occupy src's bandwidth, and its dirty victims
+// are written to DDR.
+type memSide struct {
+	level        // c is nil when the mode has no memory-side cache
+	src   Source // SrcMCDRAM or SrcEDRAM
+}
+
+// level is one cache of the hierarchy under its LevelStats name.
+type level struct {
+	name string
+	c    *cache.SetAssoc
 }
 
 // NewSim builds a simulator from a validated config.
@@ -138,14 +154,19 @@ func NewSim(cfg Config) (*Sim, error) {
 	case ModeEDRAM:
 		s.edram = cache.NewSetAssoc("eDRAM", cfg.EDRAM.Size, cfg.EDRAM.Ways)
 	case ModeEDRAMMemSide:
-		s.edramMS = cache.NewSetAssoc("eDRAM-MS", cfg.EDRAM.Size, cfg.EDRAM.Ways)
+		s.ms = memSide{level{"edram_ms", cache.NewSetAssoc("eDRAM-MS", cfg.EDRAM.Size, cfg.EDRAM.Ways)}, SrcEDRAM}
 	case ModeCache:
-		s.mcCache = cache.NewDirectMapped("MCDRAM$", cfg.MCDRAMBytes)
+		s.ms = memSide{level{"mcdram_cache", cache.NewSetAssoc("MCDRAM$", cfg.MCDRAMBytes, 1)}, SrcMCDRAM}
 	case ModeFlat:
 		s.mcFlatCap = cfg.MCDRAMBytes
 	case ModeHybrid:
-		s.mcCache = cache.NewDirectMapped("MCDRAM$", cfg.MCDRAMBytes/2)
+		s.ms = memSide{level{"mcdram_cache", cache.NewSetAssoc("MCDRAM$", cfg.MCDRAMBytes/2, 1)}, SrcMCDRAM}
 		s.mcFlatCap = cfg.MCDRAMBytes / 2
+	}
+	for _, lv := range []level{{"l1", s.l1}, {"l2", s.l2}, {"l3", s.l3}, {"edram", s.edram}, s.ms.level} {
+		if lv.c != nil {
+			s.levels = append(s.levels, lv)
+		}
 	}
 	return s, nil
 }
@@ -162,13 +183,8 @@ func (s *Sim) Traffic() Traffic { return s.traffic }
 // pool one simulator per configuration instead of paying the cache
 // array allocations of NewSim once per sweep cell.
 func (s *Sim) Reset() {
-	for _, c := range []*cache.SetAssoc{s.l1, s.l2, s.l3, s.edram, s.edramMS} {
-		if c != nil {
-			c.Reset()
-		}
-	}
-	if s.mcCache != nil {
-		s.mcCache.Reset()
+	for _, lv := range s.levels {
+		lv.c.Reset()
 	}
 	s.mcAllocated = 0
 	s.ddrCursor = ddrBase
@@ -197,20 +213,9 @@ type LevelStats struct {
 // LevelStats snapshots the hit/miss/eviction/writeback counters of
 // every cache level the current mode instantiates.
 func (s *Sim) LevelStats() []LevelStats {
-	var out []LevelStats
-	add := func(name string, st *cache.Stats) {
-		out = append(out, LevelStats{Level: name, Stats: *st})
-	}
-	for _, lv := range []struct {
-		name string
-		c    *cache.SetAssoc
-	}{{"l1", s.l1}, {"l2", s.l2}, {"l3", s.l3}, {"edram", s.edram}, {"edram_ms", s.edramMS}} {
-		if lv.c != nil {
-			add(lv.name, lv.c.Stats())
-		}
-	}
-	if s.mcCache != nil {
-		add("mcdram_cache", s.mcCache.Stats())
+	out := make([]LevelStats, len(s.levels))
+	for i, lv := range s.levels {
+		out[i] = LevelStats{Level: lv.name, Stats: *lv.c.Stats()}
 	}
 	return out
 }
@@ -365,11 +370,11 @@ func (s *Sim) accessLine(line uint64, write bool) {
 				return
 			}
 		}
-		s.serveFromMemory(line, false)
+		s.serveFromMemory(line)
 		return
 	}
 	// KNL path: below L2 sits MCDRAM (mode-dependent) or DDR.
-	s.serveFromMemory(line, false)
+	s.serveFromMemory(line)
 }
 
 // evictFromL2 handles a dirty L2 victim: it is absorbed by L3 when
@@ -402,100 +407,53 @@ func (s *Sim) evictFromL3(ev cache.Line) {
 	}
 }
 
-// serveFromMemory satisfies a demand fill from the memory side
-// (MCDRAM and/or DDR depending on mode and address region).
-func (s *Sim) serveFromMemory(line uint64, _ bool) {
-	byteAddr := line << cache.LineShift
-	switch s.cfg.Mode {
-	case ModeFlat:
-		if byteAddr < ddrBase {
-			s.count(SrcMCDRAM)
-		} else {
-			s.count(SrcDDR)
-		}
-	case ModeCache:
-		s.mcCacheAccess(line)
-	case ModeHybrid:
-		if byteAddr < ddrBase {
-			s.count(SrcMCDRAM) // flat half
-		} else {
-			s.mcCacheAccess(line) // cached half in front of DDR
-		}
-	case ModeEDRAMMemSide:
-		s.edramMSAccess(line)
-	default: // ModeDDR, ModeEDRAM
+// serveFromMemory satisfies a demand fill from the memory side: flat
+// MCDRAM for addresses below ddrBase (only flat and hybrid modes
+// allocate there), else the memory-side cache if the mode has one,
+// else DDR. writebackToMemory routes writebacks the same way.
+func (s *Sim) serveFromMemory(line uint64) {
+	switch {
+	case line<<cache.LineShift < ddrBase:
+		s.count(SrcMCDRAM)
+	case s.ms.c != nil:
+		s.memSideAccess(line)
+	default:
 		s.count(SrcDDR)
 	}
 }
 
-// edramMSAccess models the Skylake-style memory-side eDRAM: a
-// set-associative buffer behind the DRAM controller that caches all
-// DRAM traffic (fills install directly, unlike the Broadwell victim
-// cache that only captures L3 evictions).
-func (s *Sim) edramMSAccess(line uint64) {
-	hit, ev := s.edramMS.Access(line, false)
+// memSideAccess serves a demand fill through the memory-side cache,
+// which installs every DRAM fill (unlike the Broadwell victim cache,
+// which only captures L3 evictions).
+func (s *Sim) memSideAccess(line uint64) {
+	if s.ms.src == SrcMCDRAM {
+		s.traffic.MCTagLines++ // the MCDRAM cache keeps its tags in MCDRAM
+	}
+	hit, ev := s.ms.c.Access(line, false)
 	if ev.Valid && ev.Dirty {
 		s.traffic.WBBytes[SrcDDR] += cache.LineSize
 	}
 	if hit {
-		s.count(SrcEDRAM)
+		s.count(s.ms.src)
 		return
 	}
-	s.count(SrcDDR)
-	// The install occupies eDRAM bandwidth.
-	s.traffic.WBBytes[SrcEDRAM] += cache.LineSize
-}
-
-// mcCacheAccess models the direct-mapped memory-side MCDRAM cache.
-func (s *Sim) mcCacheAccess(line uint64) {
-	s.traffic.MCTagLines++
-	hit, ev := s.mcCache.Access(line, false)
-	if ev.Valid && ev.Dirty {
-		s.traffic.WBBytes[SrcDDR] += cache.LineSize
-	}
-	if hit {
-		s.count(SrcMCDRAM)
-		return
-	}
-	// Miss: the fill crosses DDR and the install occupies MCDRAM
+	// Miss: the fill crosses DDR and the install occupies the OPM's
 	// bandwidth; demand bytes attribute to DDR.
 	s.count(SrcDDR)
-	s.traffic.WBBytes[SrcMCDRAM] += cache.LineSize
+	s.traffic.WBBytes[s.ms.src] += cache.LineSize
 }
 
 // writebackToMemory accounts a dirty line leaving the cache hierarchy.
 func (s *Sim) writebackToMemory(line uint64) {
-	byteAddr := line << cache.LineShift
-	switch s.cfg.Mode {
-	case ModeFlat:
-		if byteAddr < ddrBase {
-			s.traffic.WBBytes[SrcMCDRAM] += cache.LineSize
-		} else {
-			s.traffic.WBBytes[SrcDDR] += cache.LineSize
-		}
-	case ModeEDRAMMemSide:
-		ev := s.edramMS.Insert(line, true)
-		if ev.Valid && ev.Dirty {
-			s.traffic.WBBytes[SrcDDR] += cache.LineSize
-		}
-		s.traffic.WBBytes[SrcEDRAM] += cache.LineSize
-	case ModeCache:
-		// Memory-side cache absorbs the writeback.
-		ev := s.mcCache.Insert(line, true)
-		if ev.Valid && ev.Dirty {
-			s.traffic.WBBytes[SrcDDR] += cache.LineSize
-		}
+	switch {
+	case line<<cache.LineShift < ddrBase:
 		s.traffic.WBBytes[SrcMCDRAM] += cache.LineSize
-	case ModeHybrid:
-		if byteAddr < ddrBase {
-			s.traffic.WBBytes[SrcMCDRAM] += cache.LineSize
-		} else {
-			ev := s.mcCache.Insert(line, true)
-			if ev.Valid && ev.Dirty {
-				s.traffic.WBBytes[SrcDDR] += cache.LineSize
-			}
-			s.traffic.WBBytes[SrcMCDRAM] += cache.LineSize
+	case s.ms.c != nil:
+		// The memory-side cache absorbs the writeback.
+		if ev := s.ms.c.Insert(line, true); ev.Valid && ev.Dirty {
+			s.traffic.WBBytes[SrcDDR] += cache.LineSize
 		}
+		s.traffic.WBBytes[s.ms.src] += cache.LineSize
 	default:
 		s.traffic.WBBytes[SrcDDR] += cache.LineSize
 	}

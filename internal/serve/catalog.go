@@ -122,8 +122,16 @@ func (c *catalog) spec(platform string) (*harness.CurveSpec, error) {
 	return s, nil
 }
 
+// envelopeMargin bounds queries to this multiple of the ranges the
+// paper's figures sweep (harness.CurveFootprintRange,
+// harness.DenseOrderRange). Past it the model is unvalidated, a curve
+// cell's simulation grows without bound, and dense footprint
+// accounting overflows.
+const envelopeMargin = 2
+
 // resolve maps a request onto its cell, validating platform, mode and
-// parameters. eng is the engine estimators run under.
+// parameters against the model's envelope. eng is the engine
+// estimators run under.
 func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 	spec, err := c.spec(req.Platform)
 	if err != nil {
@@ -142,6 +150,10 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 	case req.Kernel != "" && req.Kind == "":
 		if req.Footprint <= 0 {
 			return nil, fmt.Errorf("serve: curve query needs a positive footprint_bytes, got %d", req.Footprint)
+		}
+		if _, maxFP := harness.CurveFootprintRange(spec.Platform); req.Footprint > envelopeMargin*maxFP {
+			return nil, fmt.Errorf("serve: footprint_bytes %d outside the %s envelope (at most %d)",
+				req.Footprint, req.Platform, envelopeMargin*maxFP)
 		}
 		if _, err := spec.Workload(req.Kernel, req.Footprint); err != nil {
 			return nil, err
@@ -180,6 +192,10 @@ func (c *catalog) resolve(req QueryRequest, eng *sweep.Engine) (*cell, error) {
 		}
 		if req.N <= 0 || req.NB <= 0 || req.NB > req.N {
 			return nil, fmt.Errorf("serve: dense query needs 0 < nb <= n, got n=%d nb=%d", req.N, req.NB)
+		}
+		if _, maxN := harness.DenseOrderRange(spec.Platform); req.N > envelopeMargin*maxN {
+			return nil, fmt.Errorf("serve: dense order n=%d outside the %s envelope (at most %d)",
+				req.N, req.Platform, envelopeMargin*maxN)
 		}
 		j := core.DenseJob{Machine: mach, Kind: kind, N: req.N, NB: req.NB}
 		return &cell{
